@@ -20,11 +20,12 @@ from .linkmodel import (
     Schedule,
     LinkProblem,
     PowerAlloc,
+    ProblemBatch,
     schedule_count,
     enumerate_schedules,
     build_link_problem,
+    problem_batch,
     evaluate,
-    best_schedule_by,
 )
 from .gp import GpConfig, GpResult, PowerInit, wsr_maximize, condense_posynomial
 
@@ -48,11 +49,12 @@ __all__ = [
     "Schedule",
     "LinkProblem",
     "PowerAlloc",
+    "ProblemBatch",
     "schedule_count",
     "enumerate_schedules",
     "build_link_problem",
+    "problem_batch",
     "evaluate",
-    "best_schedule_by",
     "GpConfig",
     "GpResult",
     "PowerInit",

@@ -5,10 +5,10 @@ runs all requested methods over the same topology sequence (paired
 comparison) and exports mean-WSR / mean-time summaries, per-method empirical
 CDF samples, and GP outer-iteration statistics.
 
-Timing covers the decision+allocation computation only: GP solves, network
-input encoding and forward passes, and the WSR evaluations a method uses to
-choose. Topology generation and link-problem construction are excluded for
-every method alike.
+Timing covers everything a method does to decide on a given topology:
+schedule selection, link-problem construction, GP solves, network encoding
+and forward passes, and the WSR evaluations it chooses by. Only topology
+generation is excluded.
 """
 
 from __future__ import annotations
@@ -23,21 +23,21 @@ from typing import Sequence
 
 import numpy as np
 
-from . import __version__, nncore
-from .gp import GpConfig, GpResult, wsr_maximize
+from . import __version__
+from .gp import GpConfig, wsr_maximize
 from .linkmodel import (
     Direction,
-    LinkProblem,
     PowerAlloc,
+    ProblemBatch,
     Schedule,
+    best_index,
     build_link_problem,
-    enumerate_schedules,
-    evaluate,
     evaluate_stacked,
+    problem_batch,
     schedule_count,
 )
-from .powernet import PowerNet, gains_to_db, predict_fractions
-from .schednet import SchedNet, encode_topology
+from .powernet import PowerNet, predict_fractions
+from .schednet import SchedNet, top_k_schedules
 from .topo import SystemConfig, Topology, generate_topology
 
 
@@ -133,45 +133,6 @@ class MethodRun:
     gp_iters: list[int] = field(default_factory=list)
 
 
-class _Clock:
-    """Accumulates wall time over the explicitly timed segments."""
-
-    def __init__(self) -> None:
-        self.total = 0.0
-        self._t0 = 0.0
-
-    def start(self) -> None:
-        self._t0 = time.perf_counter()
-
-    def stop(self) -> None:
-        self.total += time.perf_counter() - self._t0
-
-
-@dataclass
-class _StackedProblems:
-    """Array-of-problems layout for the vectorized Max-DNN path."""
-
-    gains: np.ndarray  # (S, N, N)
-    noise_w: np.ndarray
-    weights: np.ndarray
-    directions: np.ndarray
-    p_max_w: np.ndarray
-    bandwidth_hz: float
-    se_cap: float
-
-    @staticmethod
-    def from_problems(problems: Sequence[LinkProblem]) -> "_StackedProblems":
-        return _StackedProblems(
-            gains=np.stack([p.gains for p in problems]),
-            noise_w=np.stack([p.noise_w for p in problems]),
-            weights=np.stack([p.weights for p in problems]),
-            directions=np.stack([p.directions for p in problems]).astype(float),
-            p_max_w=np.stack([p.p_max_w for p in problems]),
-            bandwidth_hz=problems[0].bandwidth_hz,
-            se_cap=problems[0].se_cap_bps_hz,
-        )
-
-
 def greedy_schedule(topology: Topology) -> Schedule:
     """Per cell, the (user, direction) with the highest weight; ties take the
     lowest choice index (user slot, downlink before uplink)."""
@@ -192,33 +153,6 @@ def greedy_schedule(topology: Topology) -> Schedule:
     return Schedule.from_choices(choices, m)
 
 
-def _argmax_gp(
-    problems: Sequence[LinkProblem],
-    schedules: Sequence[Schedule],
-    gp_config: GpConfig | None,
-    clock: _Clock,
-) -> tuple[int, GpResult, list[int]]:
-    best_i = -1
-    best: GpResult | None = None
-    iters = []
-    for i, problem in enumerate(problems):
-        clock.start()
-        res = wsr_maximize(problem, gp_config)
-        clock.stop()
-        iters.append(res.outer_iters)
-        if (
-            best is None
-            or res.alloc.wsr_bps > best.alloc.wsr_bps
-            or (
-                res.alloc.wsr_bps == best.alloc.wsr_bps
-                and schedules[i].flat_index < schedules[best_i].flat_index
-            )
-        ):
-            best_i, best = i, res
-    assert best is not None
-    return best_i, best, iters
-
-
 def run_method(
     method: MethodId,
     topology: Topology,
@@ -232,120 +166,73 @@ def run_method(
         raise ValueError(f"{method.label} requires a power-allocation model")
     if method.needs_sched_net and models.sched is None:
         raise ValueError(f"{method.label} requires a schedule-value model")
+    t0 = time.perf_counter()
+    schedule, alloc, gp_iters = _decide(method, topology, models, gp_config, rng)
+    return MethodRun(schedule, alloc, time.perf_counter() - t0, gp_iters)
+
+
+def _decide(
+    method: MethodId,
+    topology: Topology,
+    models: ModelBundle,
+    gp_config: GpConfig | None,
+    rng: np.random.Generator | None,
+) -> tuple[Schedule, PowerAlloc, list[int]]:
     cfg = topology.config
-    clock = _Clock()
     kind = method.kind
 
-    if kind in (MethodKind.EXHAUSTIVE_GP, MethodKind.MAX_DNN):
-        schedules = enumerate_schedules(cfg.n_cells, cfg.users_per_cell)
-        problems = [build_link_problem(topology, s) for s in schedules]
-        if kind == MethodKind.EXHAUSTIVE_GP:
-            best_i, best, iters = _argmax_gp(problems, schedules, gp_config, clock)
-            return MethodRun(schedules[best_i], best.alloc, clock.total, iters)
-        # Max-DNN is timed on the batched path (one network call over all
-        # schedules plus a vectorized evaluation), the configuration the
-        # method exists for; results match the row-wise op to float round-off.
-        stacked = _StackedProblems.from_problems(problems)
-        net = models.power
-        clock.start()
-        g_std = net.stats.standardize_db(gains_to_db(stacked.gains))
-        fractions = nncore.forward(
-            net.model,
-            {
-                "g": g_std.reshape(len(problems), -1),
-                "w": stacked.weights,
-                "u": stacked.directions,
-            },
-        )
-        powers = np.clip(fractions, 0.0, 1.0) * stacked.p_max_w
-        wsr, sinr, rate = evaluate_stacked(
-            stacked.gains, stacked.noise_w, stacked.weights, stacked.p_max_w,
-            stacked.bandwidth_hz, stacked.se_cap, powers,
-        )
-        best_i = int(np.argmax(wsr))  # ascending flat order: ties take the lowest
-        clock.stop()
-        alloc = PowerAlloc(
-            powers_w=powers[best_i], sinr=sinr[best_i],
-            rate_bps=rate[best_i], wsr_bps=float(wsr[best_i]),
-        )
-        return MethodRun(schedules[best_i], alloc, clock.total)
+    if kind == MethodKind.EXHAUSTIVE_GP:
+        batch = problem_batch(topology)
+        results = [wsr_maximize(batch[i], gp_config) for i in range(len(batch))]
+        best = best_index([r.alloc.wsr_bps for r in results], batch.flat_index)
+        schedule = Schedule.from_flat(int(batch.flat_index[best]), cfg.n_cells, cfg.users_per_cell)
+        return schedule, results[best].alloc, [r.outer_iters for r in results]
 
     if kind == MethodKind.RANDOM_GP:
         if rng is None:
             rng = np.random.default_rng()
         total = schedule_count(cfg.n_cells, cfg.users_per_cell)
-        clock.start()
-        sched = Schedule.from_flat(
-            int(rng.integers(total)), cfg.n_cells, cfg.users_per_cell
-        )
-        clock.stop()
-        return _gp_on(sched, topology, gp_config, clock)
+        schedule = Schedule.from_flat(int(rng.integers(total)), cfg.n_cells, cfg.users_per_cell)
+        return _gp_on(schedule, topology, gp_config)
 
-    if kind == MethodKind.GREEDY_GP:
-        clock.start()
-        sched = greedy_schedule(topology)
-        clock.stop()
-        return _gp_on(sched, topology, gp_config, clock)
+    if kind in (MethodKind.GREEDY_GP, MethodKind.GREEDY_MP):
+        schedule = greedy_schedule(topology)
+        if kind == MethodKind.GREEDY_GP:
+            return _gp_on(schedule, topology, gp_config)
+        batch = problem_batch(topology, [schedule.flat_index])
+        return _best_row(batch, batch.p_max_w, cfg.users_per_cell)
 
-    if kind == MethodKind.GREEDY_MP:
-        clock.start()
-        sched = greedy_schedule(topology)
-        clock.stop()
-        problem = build_link_problem(topology, sched)
-        clock.start()
-        alloc = evaluate(problem, problem.p_max_w.copy())
-        clock.stop()
-        return MethodRun(sched, alloc, clock.total)
-
-    # DQN-based selections.
-    assert models.sched is not None
-    clock.start()
-    enc = encode_topology(topology, models.sched.stats)
-    raw = nncore.forward(models.sched.model, {"h": enc.h_block, "w": enc.w_block})
-    values = raw * models.sched.target_std + models.sched.target_mean
-    clock.stop()
-    k = method.k if kind == MethodKind.DQN_DNN_K else 1
-    clock.start()
-    order = np.lexsort((np.arange(values.size), -values))[:k]
-    clock.stop()
-    candidates = [
-        Schedule.from_flat(int(i), cfg.n_cells, cfg.users_per_cell) for i in order
-    ]
-
-    if kind == MethodKind.DQN_GP:
-        return _gp_on(candidates[0], topology, gp_config, clock)
-
-    problems = [build_link_problem(topology, s) for s in candidates]
-    clock.start()
-    sched, alloc = _max_dnn_timed(models.power, candidates, problems)
-    clock.stop()
-    return MethodRun(sched, alloc, clock.total)
+    if kind == MethodKind.MAX_DNN:
+        batch = problem_batch(topology)
+    else:
+        k = method.k if kind == MethodKind.DQN_DNN_K else 1
+        candidates = top_k_schedules(models.sched, topology, k)
+        if kind == MethodKind.DQN_GP:
+            return _gp_on(candidates[0], topology, gp_config)
+        batch = problem_batch(topology, [s.flat_index for s in candidates])
+    fractions = predict_fractions(models.power, batch)
+    return _best_row(batch, np.clip(fractions, 0.0, 1.0) * batch.p_max_w, cfg.users_per_cell)
 
 
 def _gp_on(
-    sched: Schedule, topology: Topology, gp_config: GpConfig | None, clock: _Clock
-) -> MethodRun:
-    problem = build_link_problem(topology, sched)
-    clock.start()
-    res = wsr_maximize(problem, gp_config)
-    clock.stop()
-    return MethodRun(sched, res.alloc, clock.total, [res.outer_iters])
+    schedule: Schedule, topology: Topology, gp_config: GpConfig | None
+) -> tuple[Schedule, PowerAlloc, list[int]]:
+    res = wsr_maximize(build_link_problem(topology, schedule), gp_config)
+    return schedule, res.alloc, [res.outer_iters]
 
 
-def _max_dnn_timed(
-    net: PowerNet, schedules: Sequence[Schedule], problems: Sequence[LinkProblem]
-) -> tuple[Schedule, PowerAlloc]:
-    fractions = predict_fractions(net, problems)
-    best = None
-    for sched, problem, frac in zip(schedules, problems, fractions):
-        alloc = evaluate(problem, np.clip(frac, 0.0, 1.0) * problem.p_max_w)
-        if (
-            best is None
-            or alloc.wsr_bps > best[1].wsr_bps
-            or (alloc.wsr_bps == best[1].wsr_bps and sched.flat_index < best[0].flat_index)
-        ):
-            best = (sched, alloc)
-    return best
+def _best_row(
+    batch: ProblemBatch, powers_w: np.ndarray, users_per_cell: int
+) -> tuple[Schedule, PowerAlloc, list[int]]:
+    """Evaluate one power row per problem and keep the best problem."""
+    wsr, sinr, rate = evaluate_stacked(batch, powers_w)
+    i = best_index(wsr, batch.flat_index)
+    schedule = Schedule.from_flat(int(batch.flat_index[i]), batch.n_links, users_per_cell)
+    alloc = PowerAlloc(
+        powers_w=powers_w[i].copy(), sinr=sinr[i].copy(),
+        rate_bps=rate[i].copy(), wsr_bps=float(wsr[i]),
+    )
+    return schedule, alloc, []
 
 
 @dataclass

@@ -2,14 +2,17 @@
 
 A schedule activates exactly one link per cell: a (user slot, direction)
 choice. With N cells and M users per cell there are (2M)^N schedules; each
-induces an N-link power-allocation problem.
+induces an N-link power-allocation problem. ``problem_batch`` builds the
+problems of many schedules at once, as a ``ProblemBatch`` of stacked arrays;
+``build_link_problem`` is its one-row case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Sequence
+from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -77,6 +80,22 @@ def enumerate_schedules(n_cells: int, users_per_cell: int) -> list[Schedule]:
     return [Schedule.from_flat(k, n_cells, users_per_cell) for k in range(total)]
 
 
+def _check_problems(
+    gains: np.ndarray, weights: np.ndarray, noise_w: np.ndarray, p_max_w: np.ndarray
+) -> None:
+    """Validate one link problem, or a stack of them along the leading axes."""
+    if not np.isfinite(gains).all():
+        raise ValueError("gains must be finite")
+    if not (gains.diagonal(0, -2, -1) > 0).all():
+        raise ValueError("diagonal (signal) gains must be positive")
+    if (gains < 0).any():
+        raise ValueError("gains must be non-negative")
+    if not ((noise_w > 0).all() and (p_max_w > 0).all()):
+        raise ValueError("noise and power caps must be positive")
+    if not ((weights >= 0) & (weights <= 1)).all():
+        raise ValueError("weights must lie in [0, 1]")
+
+
 @dataclass(frozen=True)
 class LinkProblem:
     """The N active links induced by one schedule.
@@ -97,16 +116,7 @@ class LinkProblem:
         g = self.gains
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("gains must be a square matrix")
-        if not np.all(np.isfinite(g)):
-            raise ValueError("gains must be finite")
-        if np.any(np.diag(g) <= 0):
-            raise ValueError("diagonal (signal) gains must be positive")
-        if np.any(g < 0):
-            raise ValueError("gains must be non-negative")
-        if np.any(self.noise_w <= 0) or np.any(self.p_max_w <= 0):
-            raise ValueError("noise and power caps must be positive")
-        if np.any((self.weights < 0) | (self.weights > 1)):
-            raise ValueError("weights must lie in [0, 1]")
+        _check_problems(g, self.weights, self.noise_w, self.p_max_w)
         for arr in (self.gains, self.weights, self.directions, self.noise_w, self.p_max_w):
             arr.setflags(write=False)
 
@@ -129,48 +139,168 @@ class PowerAlloc:
             arr.setflags(write=False)
 
 
+@dataclass(frozen=True)
+class ProblemBatch:
+    """S link problems of N links each, stacked as arrays; ``batch[i]`` is
+    problem i as a ``LinkProblem``. Every row is validated as a ``LinkProblem``
+    is, once for the whole stack.
+
+    ``flat_index[i]`` is the flat index of the schedule that induced row i
+    (or the row number, for a batch stacked from bare problems).
+    """
+
+    gains: np.ndarray  # (S, N, N)
+    weights: np.ndarray  # (S, N)
+    directions: np.ndarray  # (S, N), 1 = downlink
+    noise_w: np.ndarray  # (S, N)
+    p_max_w: np.ndarray  # (S, N)
+    flat_index: np.ndarray  # (S,)
+    bandwidth_hz: float
+    se_cap_bps_hz: float
+
+    def __post_init__(self) -> None:
+        g = self.gains
+        if g.ndim != 3 or g.shape[1] != g.shape[2]:
+            raise ValueError("gains must be a stack of square matrices")
+        _check_problems(g, self.weights, self.noise_w, self.p_max_w)
+
+    def __len__(self) -> int:
+        return self.gains.shape[0]
+
+    @property
+    def n_links(self) -> int:
+        return self.gains.shape[-1]
+
+    def __getitem__(self, i: int) -> LinkProblem:
+        return LinkProblem(
+            gains=self.gains[i],
+            weights=self.weights[i],
+            directions=self.directions[i],
+            noise_w=self.noise_w[i],
+            p_max_w=self.p_max_w[i],
+            bandwidth_hz=self.bandwidth_hz,
+            se_cap_bps_hz=self.se_cap_bps_hz,
+        )
+
+    @staticmethod
+    def stack(problems: Sequence[LinkProblem]) -> "ProblemBatch":
+        if not problems:
+            raise ValueError("no problems to stack")
+        return ProblemBatch(
+            gains=np.stack([p.gains for p in problems]),
+            weights=np.stack([p.weights for p in problems]),
+            directions=np.stack([p.directions for p in problems]),
+            noise_w=np.stack([p.noise_w for p in problems]),
+            p_max_w=np.stack([p.p_max_w for p in problems]),
+            flat_index=np.arange(len(problems)),
+            bandwidth_hz=problems[0].bandwidth_hz,
+            se_cap_bps_hz=problems[0].se_cap_bps_hz,
+        )
+
+
+def _flat_digits(flat: np.ndarray, n_cells: int, users_per_cell: int) -> np.ndarray:
+    """(S, N) schedule digits ``2 * slot + direction`` of the given flat indices."""
+    base = 2 * users_per_cell
+    digits = np.empty((len(flat), n_cells), dtype=np.intp)
+    rem = flat
+    for c in range(n_cells):
+        rem, digits[:, c] = np.divmod(rem, base)
+    return digits
+
+
+Links = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _schedule_links(digits: np.ndarray, users_per_cell: int) -> Links:
+    """Tx node, rx node, weight index and downlink flag of every cell's link,
+    each (S, N), for rows of (S, N) schedule digits.
+
+    Nodes are BSs first, then UEs grouped by cell.
+    """
+    n_cells = digits.shape[1]
+    slot, uplink = np.divmod(digits, 2)
+    bs = np.arange(n_cells)
+    ue = bs * users_per_cell + slot
+    ue_node = n_cells + ue
+    hop = uplink * (ue_node - bs)  # an uplink runs from the UE to the BS
+    return bs + hop, ue_node - hop, 2 * ue + uplink, 1 - uplink
+
+
+@lru_cache(maxsize=4)
+def _all_schedule_links(n_cells: int, users_per_cell: int) -> Links:
+    """``_schedule_links`` of every schedule in flat-index order; depends only
+    on (N, M)."""
+    total = schedule_count(n_cells, users_per_cell)
+    if total > MAX_SCHEDULE_COUNT:
+        raise ValueError(f"schedule space too large to batch: {total}")
+    links = _schedule_links(_flat_digits(np.arange(total), n_cells, users_per_cell), users_per_cell)
+    for arr in links:
+        arr.setflags(write=False)
+    return links
+
+
+def _gather(topology: Topology, links: Links) -> dict[str, np.ndarray]:
+    """Stacked link-problem arrays of the schedules whose links are ``links``."""
+    cfg = topology.config
+    tx, rx, w_idx, downlink = links
+    p_max = np.array([node.max_power_w for node in topology.nodes])
+    # receiver noise by downlink flag: uplink links end at a BS
+    noise = np.array([noise_power_w(cfg, NodeKind.BS), noise_power_w(cfg, NodeKind.UE)])
+    return {
+        # gains[s, i, j]: from the tx of link j to the rx of link i
+        "gains": topology.gains[tx[:, None, :], rx[:, :, None]],
+        "weights": topology.weights[w_idx],
+        "directions": downlink,
+        "noise_w": noise[downlink],
+        "p_max_w": p_max[tx],
+    }
+
+
+def problem_batch(
+    topology: Topology, flat_index: Sequence[int] | np.ndarray | None = None
+) -> ProblemBatch:
+    """The link problems of the given schedules (all, in flat order, by default).
+
+    Raises ``ValueError`` if the topology yields an invalid problem (see
+    ``LinkProblem``).
+    """
+    cfg = topology.config
+    n, m = cfg.n_cells, cfg.users_per_cell
+    if flat_index is None:
+        links = _all_schedule_links(n, m)
+        flat = np.arange(len(links[0]))
+    else:
+        total = schedule_count(n, m)
+        flat = np.asarray(flat_index, dtype=np.intp)
+        if flat.ndim != 1 or np.any(flat < 0) or (
+            total <= np.iinfo(np.intp).max and np.any(flat >= total)
+        ):
+            raise ValueError(f"flat indices must be a 1-D array in [0, {total})")
+        links = _schedule_links(_flat_digits(flat, n, m), m)
+    return ProblemBatch(
+        **_gather(topology, links),
+        flat_index=flat,
+        bandwidth_hz=cfg.bandwidth_hz,
+        se_cap_bps_hz=cfg.se_cap_bps_hz,
+    )
+
+
 def build_link_problem(topology: Topology, schedule: Schedule) -> LinkProblem:
     """Resolve a schedule against a topology into its N-link problem."""
     cfg = topology.config
-    n = cfg.n_cells
+    n, m = cfg.n_cells, cfg.users_per_cell
     if len(schedule.choices) != n:
         raise ValueError(
             f"schedule has {len(schedule.choices)} cells, topology has {n}"
         )
-    tx_idx = np.empty(n, dtype=int)
-    rx_idx = np.empty(n, dtype=int)
-    weights = np.empty(n)
-    directions = np.empty(n, dtype=int)
-    noise = np.empty(n)
-    p_max = np.empty(n)
-    noise_at = {
-        NodeKind.BS: noise_power_w(cfg, NodeKind.BS),
-        NodeKind.UE: noise_power_w(cfg, NodeKind.UE),
-    }
-    for c, (slot, direction) in enumerate(schedule.choices):
-        bs = topology.bs_node(c)
-        ue = topology.ue_node(c, slot)
-        ue_i = topology.ue_index(c, slot)
-        if direction == Direction.DOWNLINK:
-            tx, rx = bs, ue
-            weights[c] = topology.weights[2 * ue_i]
-            directions[c] = 1
-        else:
-            tx, rx = ue, bs
-            weights[c] = topology.weights[2 * ue_i + 1]
-            directions[c] = 0
-        tx_idx[c] = tx.id
-        rx_idx[c] = rx.id
-        noise[c] = noise_at[rx.kind]
-        p_max[c] = tx.max_power_w
-    # gains[i, j] = topology gain from tx of link j to rx of link i
-    g = topology.gains[np.ix_(tx_idx, rx_idx)].T.copy()
+    digits = []
+    for slot, direction in schedule.choices:
+        if not 0 <= slot < m:
+            raise ValueError(f"user slot {slot} out of range for M={m}")
+        digits.append(2 * slot + int(direction))
+    arrays = _gather(topology, _schedule_links(np.array([digits]), m))
     return LinkProblem(
-        gains=g,
-        weights=weights,
-        directions=directions,
-        noise_w=noise,
-        p_max_w=p_max,
+        **{name: a[0] for name, a in arrays.items()},
         bandwidth_hz=cfg.bandwidth_hz,
         se_cap_bps_hz=cfg.se_cap_bps_hz,
     )
@@ -198,70 +328,32 @@ def evaluate(problem: LinkProblem, powers_w: np.ndarray) -> PowerAlloc:
     return PowerAlloc(powers_w=p, sinr=sinr, rate_bps=rate, wsr_bps=wsr)
 
 
-def full_power_alloc(problem: LinkProblem) -> PowerAlloc:
-    return evaluate(problem, problem.p_max_w.copy())
-
-
 def evaluate_stacked(
-    gains: np.ndarray,
-    noise_w: np.ndarray,
-    weights: np.ndarray,
-    p_max_w: np.ndarray,
-    bandwidth_hz: float,
-    se_cap_bps_hz: float,
-    powers_w: np.ndarray,
+    batch: ProblemBatch, powers_w: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized evaluation over stacked problems: (S,N,N) gains, (S,N) rest.
+    """Vectorized evaluation of one (S, N) power row per problem of a batch.
 
-    Returns (wsr_bps, sinr, rate_bps); powers are clipped into the box. May
-    differ from scalar ``evaluate`` in the last bits, so decision paths that
-    need bit-exact parity with per-problem evaluation should loop instead.
+    Returns (wsr_bps, sinr, rate_bps); powers are clipped into the box. Each
+    row's result depends only on that row, so a problem evaluates to the same
+    bits in any batch; it may differ from scalar ``evaluate`` in the last bits.
     """
-    n = gains.shape[-1]
-    p = np.clip(np.asarray(powers_w, dtype=float), 0.0, p_max_w)
+    n = batch.n_links
+    p = np.clip(np.asarray(powers_w, dtype=float), 0.0, batch.p_max_w)
+    gains = batch.gains
     diag = gains[:, np.arange(n), np.arange(n)]
     signal = diag * p
     interference = (gains * p[:, None, :]).sum(axis=2) - signal
-    sinr = signal / (interference + noise_w)
-    rate = bandwidth_hz * np.minimum(np.log2(1.0 + sinr), se_cap_bps_hz)
-    wsr = (weights * rate).sum(axis=1)
+    sinr = signal / (interference + batch.noise_w)
+    se = np.minimum(np.log2(1.0 + sinr), batch.se_cap_bps_hz)
+    rate = batch.bandwidth_hz * se
+    wsr = (batch.weights * rate).sum(axis=1)
     return wsr, sinr, rate
 
 
-def evaluate_batch(
-    problems: Sequence[LinkProblem], powers_w: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized evaluation of one power vector per problem (see evaluate_stacked)."""
-    if not problems:
-        raise ValueError("no problems to evaluate")
-    n = problems[0].n_links
-    p = np.asarray(powers_w, dtype=float)
-    if p.shape != (len(problems), n):
-        raise ValueError(f"expected powers of shape {(len(problems), n)}")
-    return evaluate_stacked(
-        gains=np.stack([pr.gains for pr in problems]),
-        noise_w=np.stack([pr.noise_w for pr in problems]),
-        weights=np.stack([pr.weights for pr in problems]),
-        p_max_w=np.stack([pr.p_max_w for pr in problems]),
-        bandwidth_hz=problems[0].bandwidth_hz,
-        se_cap_bps_hz=problems[0].se_cap_bps_hz,
-        powers_w=p,
-    )
-
-
-def best_schedule_by(
-    evaluator: Callable[[Schedule], float], schedules: Iterable[Schedule]
-) -> tuple[Schedule, float]:
-    """Argmax of ``evaluator`` over schedules; ties go to the lowest flat index."""
-    best: tuple[Schedule, float] | None = None
-    for sched in schedules:
-        wsr = evaluator(sched)
-        if (
-            best is None
-            or wsr > best[1]
-            or (wsr == best[1] and sched.flat_index < best[0].flat_index)
-        ):
-            best = (sched, wsr)
-    if best is None:
+def best_index(values: np.ndarray, flat_index: np.ndarray) -> int:
+    """Position of the largest value; ties go to the lowest flat index."""
+    values = np.asarray(values)
+    if values.size == 0:
         raise ValueError("no schedules to compare")
-    return best
+    ties = np.flatnonzero(values == values.max())
+    return int(ties[np.argmin(np.asarray(flat_index)[ties])])

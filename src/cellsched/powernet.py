@@ -4,32 +4,31 @@ A link problem is encoded as three blocks — the gain matrix (dB-standardized),
 the link weights, and the up/downlink flags — and the network regresses the
 GP-optimal powers divided by their caps, so every output lives in [0, 1].
 
-Prediction paths process rows one at a time so that batched and per-sample
-predictions are bit-identical (BLAS matmul is not row-stable across batch
-sizes).
+``predict_fractions`` is the one prediction path. It runs the network on
+chunks of exactly ``FORWARD_CHUNK`` rows, zero-padding the last one: BLAS
+matmul is not row-stable across matrix heights, but at a fixed height each
+row's prediction is the same bits at any position in a batch of any size.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import json
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import nncore
 from .gp import GpConfig, wsr_maximize
-from .linkmodel import (
-    LinkProblem,
-    PowerAlloc,
-    Schedule,
-    build_link_problem,
-    enumerate_schedules,
-    evaluate,
-)
+from .linkmodel import LinkProblem, ProblemBatch, build_link_problem, enumerate_schedules
 from .nncore import Activation, BlockSpec, LayerSpec, MlpModel, MlpSpec, TrainConfig
 from .topo import Topology
 
 _DB_FLOOR = 1e-30  # linear-gain floor before taking logs
+
+# Rows per power-net forward pass. Larger chunks cost a short batch (a
+# DQN-DNN-k decision predicts k rows) more padding; 16 keeps that small.
+FORWARD_CHUNK = 16
 
 
 @dataclass(frozen=True)
@@ -104,11 +103,15 @@ class PowerDataset:
     target: np.ndarray  # (S, N)
     topo_ids: np.ndarray  # (S,)
     stats: GainStats
-    n_dropped: int = 0
+    drop_reasons: dict[str, int] = field(default_factory=dict)  # reason -> rows
 
     @property
     def n_samples(self) -> int:
         return self.target.shape[0]
+
+    @property
+    def n_dropped(self) -> int:
+        return sum(self.drop_reasons.values())
 
     def inputs(self) -> dict[str, np.ndarray]:
         return {"g": self.g, "w": self.w, "u": self.u}
@@ -119,7 +122,7 @@ class PowerDataset:
             g=self.g, w=self.w, u=self.u, target=self.target,
             topo_ids=self.topo_ids,
             stats=np.array([self.stats.mean_db, self.stats.std_db]),
-            n_dropped=np.array([self.n_dropped]),
+            drop_reasons=np.array(json.dumps(self.drop_reasons)),
         )
 
     @staticmethod
@@ -129,8 +132,17 @@ class PowerDataset:
                 g=d["g"], w=d["w"], u=d["u"], target=d["target"],
                 topo_ids=d["topo_ids"],
                 stats=GainStats(float(d["stats"][0]), float(d["stats"][1])),
-                n_dropped=int(d["n_dropped"][0]),
+                drop_reasons=_load_drop_reasons(d),
             )
+
+
+def _load_drop_reasons(d) -> dict[str, int]:
+    """Dropped-row counts by reason; files written before reasons were kept
+    hold only a total, read as reason "unknown"."""
+    if "drop_reasons" in d:
+        return json.loads(str(d["drop_reasons"]))
+    n_dropped = int(d["n_dropped"][0])
+    return {"unknown": n_dropped} if n_dropped else {}
 
 
 def make_power_dataset(
@@ -143,7 +155,9 @@ def make_power_dataset(
 
     The split is by topology (the last ceil(val_fraction * n) topologies form
     the validation set) and the gain statistics are fitted on the training
-    rows only. Rows whose GP solve fails are dropped and counted.
+    rows only. A row is dropped, and counted under its reason, when the GP
+    rejects its problem with a ``ValueError`` or returns non-finite powers;
+    any other error propagates.
     """
     if len(topologies) < 2:
         raise ValueError("need at least 2 topologies to split train/validation")
@@ -156,7 +170,11 @@ def make_power_dataset(
         raise ValueError("val_fraction leaves no training topologies")
 
     raw_g, rows_w, rows_u, rows_t, ids = [], [], [], [], []
-    dropped = 0
+    drop_reasons: dict[str, int] = {}
+
+    def drop(reason: str) -> None:
+        drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
+
     for ti, topo in enumerate(topologies):
         if topo.config.n_cells != n or topo.config.users_per_cell != m:
             raise ValueError("all topologies must share n_cells and users_per_cell")
@@ -164,12 +182,12 @@ def make_power_dataset(
             problem = build_link_problem(topo, sched)
             try:
                 res = wsr_maximize(problem, gp_config)
-                frac = res.alloc.powers_w / problem.p_max_w
-            except Exception:
-                dropped += 1
+            except ValueError as exc:
+                drop(f"solver rejected the problem: {exc}")
                 continue
+            frac = res.alloc.powers_w / problem.p_max_w
             if not np.all(np.isfinite(frac)):
-                dropped += 1
+                drop("non-finite power fractions")
                 continue
             raw_g.append(gains_to_db(problem.gains).ravel())
             rows_w.append(problem.weights)
@@ -192,7 +210,7 @@ def make_power_dataset(
             target=np.asarray(rows_t)[mask],
             topo_ids=ids[mask],
             stats=stats,
-            n_dropped=dropped,
+            drop_reasons=dict(drop_reasons),
         )
 
     return subset(is_train), subset(~is_train)
@@ -252,81 +270,32 @@ def train_power_net(
     return net, report
 
 
-def _check_net(net: PowerNet, problem: LinkProblem) -> None:
-    if problem.n_links != net.n_links:
+def predict_fractions(
+    net: PowerNet, problems: ProblemBatch | Sequence[LinkProblem]
+) -> np.ndarray:
+    """Predicted power fractions, one row per problem.
+
+    Each row is the same bits whatever the batch and position it comes in
+    (see ``FORWARD_CHUNK``).
+    """
+    batch = problems if isinstance(problems, ProblemBatch) else ProblemBatch.stack(problems)
+    if batch.n_links != net.n_links:
         raise ValueError(
-            f"model expects {net.n_links} links, problem has {problem.n_links}"
+            f"model expects {net.n_links} links, problems have {batch.n_links}"
         )
-
-
-def predict_fractions(net: PowerNet, problems: Sequence[LinkProblem]) -> np.ndarray:
-    """Predicted power fractions for each problem, one row per problem.
-
-    Rows are evaluated independently (single-sample forward passes), so this
-    equals per-problem prediction bit for bit regardless of batch size.
-    """
-    out = np.empty((len(problems), net.n_links))
-    for i, problem in enumerate(problems):
-        _check_net(net, problem)
-        enc = encode(problem, net.stats)
-        out[i] = nncore.forward(
-            net.model, {"g": enc.g_block, "w": enc.w_block, "u": enc.u_block}
-        )
-    return out
-
-
-def predict_powers(net: PowerNet, problem: LinkProblem) -> PowerAlloc:
-    """Predict powers for one problem and evaluate the resulting allocation."""
-    frac = predict_fractions(net, [problem])[0]
-    powers = np.clip(frac, 0.0, 1.0) * problem.p_max_w
-    return evaluate(problem, powers)
-
-
-def encode_batch(net: PowerNet, problems: Sequence[LinkProblem]) -> dict[str, np.ndarray]:
-    """Vectorized encoding of many problems into one input batch."""
-    g = np.stack([p.gains for p in problems])
-    g_std = net.stats.standardize_db(gains_to_db(g))
-    return {
-        "g": g_std.reshape(len(problems), -1),
-        "w": np.stack([p.weights for p in problems]),
-        "u": np.stack([p.directions for p in problems]).astype(float),
+    s = len(batch)
+    padded = -(-s // FORWARD_CHUNK) * FORWARD_CHUNK
+    blocks = {
+        "g": net.stats.standardize_db(gains_to_db(batch.gains)).reshape(s, -1),
+        "w": batch.weights,
+        "u": batch.directions,
     }
-
-
-def predict_fractions_fast(net: PowerNet, problems: Sequence[LinkProblem]) -> np.ndarray:
-    """BLAS-batched prediction: fast, but not bit-identical to the row path.
-
-    Used for throughput (timed benchmark decisions); agreement with
-    ``predict_fractions`` is within float round-off.
-    """
-    return nncore.forward(net.model, encode_batch(net, problems))
-
-
-def max_dnn_schedule(
-    net: PowerNet,
-    topology: Topology,
-    schedules: Sequence[Schedule] | None = None,
-    problems: Sequence[LinkProblem] | None = None,
-) -> tuple[Schedule, PowerAlloc]:
-    """Predict powers for every schedule and return the best evaluated one.
-
-    Ties break toward the lowest flat index. Pre-built schedules/problems may
-    be passed to skip re-enumeration.
-    """
-    cfg = topology.config
-    if schedules is None:
-        schedules = enumerate_schedules(cfg.n_cells, cfg.users_per_cell)
-    if problems is None:
-        problems = [build_link_problem(topology, s) for s in schedules]
-    fractions = predict_fractions(net, problems)
-    best: tuple[Schedule, PowerAlloc] | None = None
-    for sched, problem, frac in zip(schedules, problems, fractions):
-        alloc = evaluate(problem, np.clip(frac, 0.0, 1.0) * problem.p_max_w)
-        if (
-            best is None
-            or alloc.wsr_bps > best[1].wsr_bps
-            or (alloc.wsr_bps == best[1].wsr_bps and sched.flat_index < best[0].flat_index)
-        ):
-            best = (sched, alloc)
-    assert best is not None
-    return best
+    inputs = {}
+    for name, x in blocks.items():
+        inputs[name] = np.zeros((padded, x.shape[1]))
+        inputs[name][:s] = x
+    out = np.empty((padded, net.n_links))
+    for start in range(0, padded, FORWARD_CHUNK):
+        chunk = slice(start, start + FORWARD_CHUNK)
+        out[chunk] = nncore.forward(net.model, {k: v[chunk] for k, v in inputs.items()})
+    return out[:s]

@@ -16,13 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import nncore
-from .linkmodel import (
-    Schedule,
-    build_link_problem,
-    enumerate_schedules,
-    evaluate,
-    schedule_count,
-)
+from .linkmodel import Schedule, evaluate_stacked, problem_batch, schedule_count
 from .nncore import Activation, BlockSpec, LayerSpec, MlpModel, MlpSpec, TrainConfig
 from .powernet import GainStats, PowerNet, gains_to_db, predict_fractions
 from .topo import Topology
@@ -120,14 +114,9 @@ class SchedDataset:
 
 def schedule_wsr_targets(topology: Topology, power_net: PowerNet) -> np.ndarray:
     """Raw WSR (bit/s) achieved by the power network for every schedule."""
-    cfg = topology.config
-    schedules = enumerate_schedules(cfg.n_cells, cfg.users_per_cell)
-    problems = [build_link_problem(topology, s) for s in schedules]
-    fractions = predict_fractions(power_net, problems)
-    wsr = np.empty(len(schedules))
-    for k, (problem, frac) in enumerate(zip(problems, fractions)):
-        alloc = evaluate(problem, np.clip(frac, 0.0, 1.0) * problem.p_max_w)
-        wsr[k] = alloc.wsr_bps
+    batch = problem_batch(topology)
+    fractions = predict_fractions(power_net, batch)
+    wsr, _, _ = evaluate_stacked(batch, np.clip(fractions, 0.0, 1.0) * batch.p_max_w)
     return wsr
 
 

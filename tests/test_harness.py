@@ -1,5 +1,6 @@
 import csv
 import json
+import time
 
 import numpy as np
 import pytest
@@ -196,6 +197,70 @@ def test_timing_positive(small_models):
     for method in (EXHAUSTIVE_GP, MAX_DNN, GREEDY_MP):
         run = run_method(method, topo, small_models, cs.GpConfig())
         assert run.time_s > 0.0
+
+
+def test_time_s_includes_problem_construction():
+    # At 4 x 5, building the 10 000 link problems is a large share of a
+    # Max-DNN decision; time_s must account for it, not just the forward pass.
+    topo = cs.generate_topology(cs.SystemConfig(), seed=8)
+    stats = powernet.GainStats.fit(powernet.gains_to_db(topo.gains[topo.gains > 0]))
+    models = ModelBundle(power=powernet.init_power_net(4, stats, init_seed=1))
+    run_method(MAX_DNN, topo, models)  # warm the schedule tables
+    for _ in range(3):
+        t0 = time.perf_counter()
+        run = run_method(MAX_DNN, topo, models)
+        wall = time.perf_counter() - t0
+        assert run.time_s >= 0.5 * wall
+
+
+def test_max_dnn_dominates_dqn_dnn_5_exactly(small_models):
+    for seed in range(80, 90):
+        topo = cs.generate_topology(desk_cfg(), seed=seed)
+        best = run_method(MAX_DNN, topo, small_models)
+        d5 = run_method(dqn_dnn_k(5), topo, small_models)
+        assert best.alloc.wsr_bps >= d5.alloc.wsr_bps
+        # the same bits for a shared schedule: DQN-DNN-5's pick, valued as
+        # Max-DNN values every schedule
+        targets = schednet.schedule_wsr_targets(topo, small_models.power)
+        assert targets[d5.schedule.flat_index] == d5.alloc.wsr_bps
+        assert targets[best.schedule.flat_index] == best.alloc.wsr_bps
+
+
+def _with(topo, **arrays):
+    return cs.Topology(
+        config=topo.config, nodes=topo.nodes, seed=topo.seed,
+        gains=arrays.get("gains", topo.gains), weights=arrays.get("weights", topo.weights),
+    )
+
+
+@pytest.mark.parametrize("bad", ["negative gain", "nan gain", "weight above 1"])
+def test_invalid_topology_raises_on_batched_paths(small_models, bad):
+    topo = cs.generate_topology(desk_cfg(), seed=71)
+    if bad == "negative gain":
+        topo = _with(topo, gains=-topo.gains)
+    elif bad == "nan gain":
+        topo = _with(topo, gains=np.where(topo.gains > 0, np.nan, 0.0))
+    else:
+        topo = _with(topo, weights=np.full_like(topo.weights, 1.5))
+    for method in (MAX_DNN, dqn_dnn_k(5), GREEDY_MP):
+        with pytest.raises(ValueError):
+            run_method(method, topo, small_models)
+    with pytest.raises(ValueError):
+        schednet.schedule_wsr_targets(topo, small_models.power)
+
+
+def test_single_schedule_methods_at_large_n():
+    # 10^9 schedules: a single decision must not touch the whole schedule space
+    cfg = cs.SystemConfig(n_cells=9, users_per_cell=5, area_side_m=300.0)
+    topo = cs.generate_topology(cfg, seed=3)
+    for method in (GREEDY_GP, RANDOM_GP, GREEDY_MP):
+        run = run_method(method, topo, rng=np.random.default_rng(0))
+        assert run.alloc.powers_w.shape == (9,) and run.alloc.wsr_bps > 0.0
+    sched = greedy_schedule(topo)
+    row = cs.problem_batch(topo, [sched.flat_index])[0]
+    one = cs.build_link_problem(topo, sched)
+    for name in ("gains", "weights", "directions", "noise_w", "p_max_w"):
+        assert np.array_equal(getattr(row, name), getattr(one, name))
 
 
 def test_iteration_count_echo(desk_pipeline):

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import cellsched as cs
-from cellsched.linkmodel import Direction, evaluate_batch, full_power_alloc
+from cellsched.linkmodel import Direction, ProblemBatch, best_index, evaluate_stacked
 from helpers import hand_problem
 
 
@@ -184,7 +186,7 @@ def test_evaluate_batch_matches_scalar():
         for _ in range(7)
     ]
     powers = rng.uniform(0, 1, (7, 2))
-    wsr, sinr, rate = evaluate_batch(probs, powers)
+    wsr, sinr, rate = evaluate_stacked(ProblemBatch.stack(probs), powers)
     for i, prob in enumerate(probs):
         ref = cs.evaluate(prob, powers[i])
         assert wsr[i] == pytest.approx(ref.wsr_bps, rel=1e-12)
@@ -193,19 +195,20 @@ def test_evaluate_batch_matches_scalar():
 
 def test_full_power_alloc():
     prob = hand_problem([[1.0]], [1.0], [0.5], [2.0])
-    assert full_power_alloc(prob).powers_w[0] == 2.0
+    assert cs.evaluate(prob, prob.p_max_w).powers_w[0] == 2.0
 
 
 def test_best_schedule_by():
-    scheds = cs.enumerate_schedules(1, 2)  # 4 schedules
-    best, wsr = cs.best_schedule_by(lambda s: float(s.flat_index), scheds)
-    assert best.flat_index == 3 and wsr == 3.0
-    best, _ = cs.best_schedule_by(lambda s: 1.0, scheds)  # tie -> lowest index
-    assert best.flat_index == 0
-    best, _ = cs.best_schedule_by(lambda s: -s.flat_index, scheds)
-    assert best.flat_index == 0
+    flat = np.array([s.flat_index for s in cs.enumerate_schedules(1, 2)])  # 4 schedules
+    values = flat.astype(float)
+    best = best_index(values, flat)
+    assert flat[best] == 3 and values[best] == 3.0
+    assert flat[best_index(np.ones(4), flat)] == 0  # tie -> lowest index
+    assert flat[best_index(-values, flat)] == 0
+    # rows out of flat order (top-k candidates): a tie still takes the lowest flat index
+    assert best_index(np.array([1.0, 2.0, 2.0, 0.5]), np.array([0, 9, 3, 1])) == 2
     with pytest.raises(ValueError):
-        cs.best_schedule_by(lambda s: 0.0, [])
+        best_index(np.array([]), np.array([], dtype=int))
 
 
 def test_link_problem_validation():
@@ -217,3 +220,108 @@ def test_link_problem_validation():
         hand_problem([[1.0]], [2.0], [0.1], [1.0])  # weight > 1
     with pytest.raises(ValueError):
         hand_problem([[1.0, -0.1], [0.1, 1.0]], [1, 1], [0.1, 0.1], [1, 1])
+
+
+def _loop_link_problem(topo, sched):
+    """Reference: resolve a schedule cell by cell through the topology's nodes."""
+    cfg = topo.config
+    tx, rx, weights, directions, noise, p_max = [], [], [], [], [], []
+    for c, (slot, direction) in enumerate(sched.choices):
+        bs, ue = topo.bs_node(c), topo.ue_node(c, slot)
+        ue_i = topo.ue_index(c, slot)
+        down = direction == Direction.DOWNLINK
+        t, r = (bs, ue) if down else (ue, bs)
+        tx.append(t.id)
+        rx.append(r.id)
+        weights.append(topo.weights[2 * ue_i + (0 if down else 1)])
+        directions.append(1 if down else 0)
+        noise.append(cs.noise_power_w(cfg, r.kind))
+        p_max.append(t.max_power_w)
+    gains = np.array([[topo.gains[tx[j], rx[i]] for j in range(len(tx))] for i in range(len(rx))])
+    return gains, np.array(weights), np.array(directions), np.array(noise), np.array(p_max)
+
+
+@pytest.mark.parametrize("n, m", [(2, 2), (4, 1), (4, 5)])
+def test_problem_batch_bitwise_equals_build_link_problem(n, m):
+    topo = cs.generate_topology(cs.SystemConfig(n_cells=n, users_per_cell=m), seed=11)
+    batch = cs.problem_batch(topo)
+    scheds = cs.enumerate_schedules(n, m)
+    assert len(batch) == len(scheds)
+    assert np.array_equal(batch.flat_index, [s.flat_index for s in scheds])
+    fields = ("gains", "weights", "directions", "noise_w", "p_max_w")
+    for i, sched in enumerate(scheds):
+        row, one = batch[i], cs.build_link_problem(topo, sched)
+        for name, ref in zip(fields, _loop_link_problem(topo, sched)):
+            assert np.array_equal(getattr(row, name), ref), (i, name)
+            assert np.array_equal(getattr(one, name), ref), (i, name)
+            assert getattr(row, name).dtype == getattr(one, name).dtype
+        assert (row.bandwidth_hz, row.se_cap_bps_hz) == (one.bandwidth_hz, one.se_cap_bps_hz)
+
+
+def test_problem_batch_subset_rows():
+    topo = cs.generate_topology(cs.SystemConfig(), seed=2)
+    full = cs.problem_batch(topo)
+    picked = [9999, 0, 4321, 17]
+    sub = cs.problem_batch(topo, picked)
+    assert np.array_equal(sub.flat_index, picked)
+    for name in ("gains", "weights", "directions", "noise_w", "p_max_w"):
+        assert np.array_equal(getattr(sub, name), getattr(full, name)[picked])
+    for bad in ([10000], [-1], [[1, 2]]):
+        with pytest.raises(ValueError):
+            cs.problem_batch(topo, bad)
+
+
+def test_evaluate_stacked_rows_independent_of_batch():
+    topo = cs.generate_topology(cs.SystemConfig(), seed=6)
+    full = cs.problem_batch(topo)
+    rng = np.random.default_rng(1)
+    powers = rng.uniform(0.0, 1.0, (len(full), 4)) * full.p_max_w
+    wsr, sinr, rate = evaluate_stacked(full, powers)
+    for picked in ([5], [5, 700], list(range(0, 10000, 997))):
+        w, s, r = evaluate_stacked(cs.problem_batch(topo, picked), powers[picked])
+        assert np.array_equal(w, wsr[picked])
+        assert np.array_equal(s, sinr[picked]) and np.array_equal(r, rate[picked])
+
+
+def _relabelled(topo, cell_of, slot_of):
+    """The same drop with new cell c holding old cell ``cell_of[c]`` and, in
+    every cell, new slot k holding old slot ``slot_of[k]``."""
+    cfg = topo.config
+    n, m = cfg.n_cells, cfg.users_per_cell
+    old_ue = [cell_of[c] * m + slot_of[k] for c in range(n) for k in range(m)]
+    old_node = list(cell_of) + [n + u for u in old_ue]
+    nodes = tuple(
+        replace(topo.nodes[o], id=new, cell=new if new < n else (new - n) // m)
+        for new, o in enumerate(old_node)
+    )
+    weights = np.array([topo.weights[2 * u + d] for u in old_ue for d in (0, 1)])
+    gains = topo.gains[np.ix_(old_node, old_node)].copy()
+    return cs.Topology(config=cfg, nodes=nodes, gains=gains, weights=weights, seed=topo.seed)
+
+
+def _full_power_wsr(topo):
+    batch = cs.problem_batch(topo)
+    return evaluate_stacked(batch, batch.p_max_w)[0]
+
+
+@pytest.mark.parametrize("cell_of, slot_of", [
+    ((2, 0, 3, 1), (0, 1, 2, 3, 4)),  # relabel the cells
+    ((0, 1, 2, 3), (0, 3, 2, 1, 4)),  # swap user slots 1 and 3 in every cell
+])
+def test_relabelling_permutes_schedules_and_keeps_wsr(cell_of, slot_of):
+    cfg = cs.SystemConfig()
+    topo = cs.generate_topology(cfg, seed=21)
+    moved = _relabelled(topo, cell_of, slot_of)
+    base = 2 * cfg.users_per_cell
+    digits = (np.arange(10000)[:, None] // base ** np.arange(4)) % base
+    # new cell c of a schedule runs the old cell cell_of[c]'s link with the
+    # slot relabelled: old slot slot_of[k] is new slot k.
+    new_slot = np.argsort(slot_of)
+    moved_digits = digits[:, list(cell_of)]
+    moved_digits = 2 * new_slot[moved_digits // 2] + moved_digits % 2
+    moved_flat = moved_digits @ base ** np.arange(4)
+    assert np.array_equal(np.sort(moved_flat), np.arange(10000))
+    wsr, wsr_moved = _full_power_wsr(topo), _full_power_wsr(moved)
+    # links are summed in another order, so allow round-off only
+    assert np.allclose(wsr_moved[moved_flat], wsr, rtol=1e-12, atol=0.0)
+    assert wsr_moved.max() == pytest.approx(wsr.max(), rel=1e-12)

@@ -2,21 +2,34 @@ import numpy as np
 import pytest
 
 import cellsched as cs
-from cellsched import powernet
+from cellsched import harness, powernet
+from cellsched.linkmodel import ProblemBatch, evaluate_stacked
 from cellsched.nncore import Activation, MlpModel, TrainConfig
 from cellsched.powernet import (
+    FORWARD_CHUNK,
     GainStats,
     PowerNet,
     encode,
     init_power_net,
     make_power_dataset,
-    max_dnn_schedule,
     predict_fractions,
-    predict_fractions_fast,
-    predict_powers,
     train_power_net,
 )
 from helpers import hand_problem
+
+
+def predict_powers(net, problem):
+    """The power net's allocation for one problem, evaluated."""
+    frac = predict_fractions(net, [problem])[0]
+    return cs.evaluate(problem, np.clip(frac, 0.0, 1.0) * problem.p_max_w)
+
+
+def row_wsr(net, problem):
+    """WSR of the power net's allocation for one problem, evaluated as a
+    one-row batch (the arithmetic every batched decision uses)."""
+    batch = ProblemBatch.stack([problem])
+    frac = predict_fractions(net, batch)
+    return float(evaluate_stacked(batch, np.clip(frac, 0.0, 1.0) * batch.p_max_w)[0][0])
 
 
 def desk_topos(n, m=2, count=10, base_seed=0, area=60.0):
@@ -82,6 +95,21 @@ def test_make_dataset_counts_and_split(tiny_dataset):
     assert train_set.stats == val_set.stats
 
 
+def test_make_dataset_bad_gp_config_raises_at_once():
+    # A dict is not a GpConfig: the error surfaces here, not as an empty dataset.
+    with pytest.raises(AttributeError):
+        make_power_dataset(desk_topos(2, count=3), {"outer_tol": 1e-4})
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # statistics of 0 rows
+def test_make_dataset_counts_solver_rejections_by_reason():
+    gp = cs.GpConfig(init=cs.PowerInit.GIVEN)  # no p0: the solver rejects every problem
+    train_set, val_set = make_power_dataset(desk_topos(2, count=3), gp, val_fraction=0.34)
+    assert train_set.n_samples == val_set.n_samples == 0
+    assert train_set.n_dropped == 48
+    assert train_set.drop_reasons == {"solver rejected the problem: init=GIVEN requires p0": 48}
+
+
 def test_dataset_save_load(tiny_dataset, tmp_path):
     train_set, _ = tiny_dataset
     path = tmp_path / "d.npz"
@@ -90,6 +118,22 @@ def test_dataset_save_load(tiny_dataset, tmp_path):
     assert np.array_equal(back.g, train_set.g)
     assert np.array_equal(back.target, train_set.target)
     assert back.stats == train_set.stats
+    assert (back.n_dropped, back.drop_reasons) == (train_set.n_dropped, train_set.drop_reasons)
+
+
+def test_dataset_load_without_drop_reasons(tiny_dataset, tmp_path):
+    # files saved before reasons were kept hold only the total
+    train_set, _ = tiny_dataset
+    for n_dropped, reasons in ((3, {"unknown": 3}), (0, {})):
+        path = tmp_path / f"old{n_dropped}.npz"
+        np.savez(
+            path, g=train_set.g, w=train_set.w, u=train_set.u, target=train_set.target,
+            topo_ids=train_set.topo_ids,
+            stats=np.array([train_set.stats.mean_db, train_set.stats.std_db]),
+            n_dropped=np.array([n_dropped]),
+        )
+        back = powernet.PowerDataset.load(path)
+        assert (back.n_dropped, back.drop_reasons) == (n_dropped, reasons)
 
 
 def test_untrained_zero_net_predicts_half_power():
@@ -126,12 +170,51 @@ def test_batching_invariance_bitwise(tiny_net):
 
 
 def test_fast_path_agrees_to_roundoff(tiny_net):
+    # The batch built from the topology and the list of single problems go
+    # through the same chunked forward: they agree exactly.
     net, _ = tiny_net
     topo = desk_topos(2, count=1, base_seed=98)[0]
     probs = [cs.build_link_problem(topo, s) for s in cs.enumerate_schedules(2, 2)]
     row = predict_fractions(net, probs)
-    fast = predict_fractions_fast(net, probs)
-    assert np.allclose(row, fast, rtol=1e-10, atol=1e-12)
+    fast = predict_fractions(net, cs.problem_batch(topo))
+    assert np.array_equal(row, fast)
+
+
+def _row_position_invariance(net, problems):
+    """Every problem's prediction alone equals its prediction at every
+    position of batches of 1, 2, C and C+1 rows."""
+    alone = np.vstack([predict_fractions(net, [p]) for p in problems])
+    fillers = problems[::-1]
+    for size in (1, 2, FORWARD_CHUNK, FORWARD_CHUNK + 1):
+        for k, target in enumerate(problems[:3]):
+            for pos in range(size):
+                rows = [fillers[(k + j) % len(fillers)] for j in range(size)]
+                rows[pos] = target
+                got = predict_fractions(net, ProblemBatch.stack(rows))
+                assert np.array_equal(got[pos], alone[k]), (size, pos)
+                assert got.shape == (size, net.n_links)
+
+
+def test_prediction_row_invariant_to_position_and_batch_desk(tiny_net):
+    net, _ = tiny_net
+    topo = desk_topos(2, count=1, base_seed=97)[0]
+    _row_position_invariance(net, [cs.build_link_problem(topo, s) for s in cs.enumerate_schedules(2, 2)])
+
+
+def test_prediction_row_invariant_to_position_and_batch_reference():
+    topo = cs.generate_topology(cs.SystemConfig(), seed=3)
+    batch = cs.problem_batch(topo, list(range(0, 10000, 499)))
+    net = init_power_net(4, GainStats(-100.0, 15.0), init_seed=0)
+    _row_position_invariance(net, [batch[i] for i in range(len(batch))])
+    # a row of the full 10 000-row batch equals the row predicted alone
+    full = predict_fractions(net, cs.problem_batch(topo))
+    alone = np.vstack([predict_fractions(net, [batch[i]]) for i in range(len(batch))])
+    assert np.array_equal(full[batch.flat_index], alone)
+
+
+def _max_dnn(net, topo):
+    run = harness.run_method(harness.MAX_DNN, topo, harness.ModelBundle(power=net))
+    return run.schedule, run.alloc
 
 
 def test_max_dnn_schedule_single_cell(tiny_net):
@@ -142,12 +225,12 @@ def test_max_dnn_schedule_single_cell(tiny_net):
                                cs.GpConfig(), val_fraction=0.2)
     net, _ = train_power_net(train[0], train[1], TrainConfig(epochs=2, batch_size=16),
                              init_seed=0)
-    sched, alloc = max_dnn_schedule(net, topos[0])
+    sched, alloc = _max_dnn(net, topos[0])
     scheds = cs.enumerate_schedules(1, 1)
     evals = []
     for s in scheds:
         prob = cs.build_link_problem(topos[0], s)
-        evals.append(predict_powers(net, prob).wsr_bps)
+        evals.append(row_wsr(net, prob))
     assert sched.flat_index == int(np.argmax(evals))
     assert alloc.wsr_bps == pytest.approx(max(evals), rel=1e-12)
 
@@ -155,13 +238,18 @@ def test_max_dnn_schedule_single_cell(tiny_net):
 def test_max_dnn_matches_schedule_loop(tiny_net):
     net, _ = tiny_net
     topo = desk_topos(2, count=1, base_seed=55)[0]
-    sched, alloc = max_dnn_schedule(net, topo)
+    sched, alloc = _max_dnn(net, topo)
     evals = []
     for s in cs.enumerate_schedules(2, 2):
         prob = cs.build_link_problem(topo, s)
-        evals.append(predict_powers(net, prob).wsr_bps)
+        evals.append(row_wsr(net, prob))
     assert alloc.wsr_bps == max(evals)  # bit-identical row paths
     assert sched.flat_index == int(np.argmax(evals))
+    # and against the scalar evaluation path, which shares no code with the batch
+    prob = cs.build_link_problem(topo, sched)
+    scalar = cs.evaluate(prob, np.clip(predict_fractions(net, [prob])[0], 0.0, 1.0) * prob.p_max_w)
+    assert alloc.wsr_bps == pytest.approx(scalar.wsr_bps, rel=1e-12)
+    assert np.array_equal(alloc.powers_w, scalar.powers_w)
 
 
 def test_training_reduces_validation_mse(tiny_net):
@@ -173,7 +261,7 @@ def test_model_mismatch_raises(tiny_net):
     net, _ = tiny_net
     prob = hand_problem([[1.0]], [1.0], [0.1], [1.0])
     with pytest.raises(ValueError):
-        predict_powers(net, prob)
+        predict_fractions(net, [prob])
 
 
 def test_power_net_save_load(tiny_net, tmp_path):
