@@ -20,9 +20,9 @@ import numpy as np
 
 from . import nncore
 from .gp import GpConfig, wsr_maximize
-from .linkmodel import LinkProblem, ProblemBatch, build_link_problem, enumerate_schedules
+from .linkmodel import LinkProblem, ProblemBatch, problem_batch
 from .nncore import Activation, BlockSpec, LayerSpec, MlpModel, MlpSpec, TrainConfig
-from .topo import Topology
+from .topo import Topology, train_split_size
 
 _DB_FLOOR = 1e-30  # linear-gain floor before taking logs
 
@@ -51,13 +51,6 @@ def gains_to_db(gains_linear: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(gains_linear, _DB_FLOOR))
 
 
-@dataclass(frozen=True)
-class PowerNetEncoding:
-    g_block: np.ndarray  # length N*N, standardized dB, row-major
-    w_block: np.ndarray  # length N
-    u_block: np.ndarray  # length N, 1 = downlink
-
-
 def default_power_spec(n_links: int) -> MlpSpec:
     """Input blocks G->64, w->32, u->32; trunk 256/128/64; sigmoid output.
 
@@ -81,16 +74,17 @@ def default_power_spec(n_links: int) -> MlpSpec:
     )
 
 
-def encode(problem: LinkProblem, stats: GainStats) -> PowerNetEncoding:
-    """Encode one link problem; deterministic given the corpus statistics."""
-    if np.any(np.diag(problem.gains) <= 0):
-        raise ValueError("diagonal (signal) gains must be positive")
-    g_db = gains_to_db(problem.gains)
-    return PowerNetEncoding(
-        g_block=stats.standardize_db(g_db).ravel(),
-        w_block=problem.weights.astype(float),
-        u_block=problem.directions.astype(float),
-    )
+def encode_batch(batch: ProblemBatch, stats: GainStats) -> dict[str, np.ndarray]:
+    """The net's input blocks, one row per problem of the batch: ``g`` the
+    standardized dB gains (row-major), ``w`` the weights, ``u`` the link
+    directions (1 = downlink). Deterministic given the corpus statistics;
+    each row depends only on its own problem.
+    """
+    return {
+        "g": stats.standardize_db(gains_to_db(batch.gains)).reshape(len(batch), -1),
+        "w": batch.weights,
+        "u": batch.directions.astype(float),
+    }
 
 
 @dataclass
@@ -153,33 +147,25 @@ def make_power_dataset(
 ) -> tuple[PowerDataset, PowerDataset]:
     """Label every (topology, schedule) pair with a GP solve.
 
-    The split is by topology (the last ceil(val_fraction * n) topologies form
-    the validation set) and the gain statistics are fitted on the training
-    rows only. A row is dropped, and counted under its reason, when the GP
-    rejects its problem with a ``ValueError`` or returns non-finite powers;
-    any other error propagates.
+    The split is by topology (see ``train_split_size``) and the gain
+    statistics are fitted on the training rows only. A row is dropped, and
+    counted under its reason, when the GP rejects its problem with a
+    ``ValueError`` or returns non-finite powers; any other error propagates.
+    Raises ``ValueError``, naming the drop reasons, when either split is left
+    without rows.
     """
-    if len(topologies) < 2:
-        raise ValueError("need at least 2 topologies to split train/validation")
-    cfg0 = topologies[0].config
-    n, m = cfg0.n_cells, cfg0.users_per_cell
-    schedules = enumerate_schedules(n, m)
-    n_val = max(1, int(np.ceil(val_fraction * len(topologies))))
-    n_train = len(topologies) - n_val
-    if n_train < 1:
-        raise ValueError("val_fraction leaves no training topologies")
-
-    raw_g, rows_w, rows_u, rows_t, ids = [], [], [], [], []
+    n_train = train_split_size(topologies, val_fraction)
     drop_reasons: dict[str, int] = {}
 
     def drop(reason: str) -> None:
         drop_reasons[reason] = drop_reasons.get(reason, 0) + 1
 
+    labelled = []  # per topology: its batch, kept row positions, their targets
     for ti, topo in enumerate(topologies):
-        if topo.config.n_cells != n or topo.config.users_per_cell != m:
-            raise ValueError("all topologies must share n_cells and users_per_cell")
-        for sched in schedules:
-            problem = build_link_problem(topo, sched)
+        batch = problem_batch(topo)
+        keep, targets = [], []
+        for i in range(len(batch)):
+            problem = batch[i]
             try:
                 res = wsr_maximize(problem, gp_config)
             except ValueError as exc:
@@ -189,31 +175,35 @@ def make_power_dataset(
             if not np.all(np.isfinite(frac)):
                 drop("non-finite power fractions")
                 continue
-            raw_g.append(gains_to_db(problem.gains).ravel())
-            rows_w.append(problem.weights)
-            rows_u.append(problem.directions.astype(float))
-            rows_t.append(np.clip(frac, 0.0, 1.0))
-            ids.append(ti)
+            keep.append(i)
+            targets.append(np.clip(frac, 0.0, 1.0))
+        labelled.append((batch, keep, targets))
         if progress is not None:
             progress(ti + 1, len(topologies))
 
-    raw_g = np.asarray(raw_g)
-    ids = np.asarray(ids)
-    is_train = ids < n_train
-    stats = GainStats.fit(raw_g[is_train])
+    for name, part in (("training", labelled[:n_train]), ("validation", labelled[n_train:])):
+        if not any(keep for _, keep, _ in part):
+            raise ValueError(f"no {name} rows left; rows dropped by reason: {drop_reasons}")
+    stats = GainStats.fit(np.concatenate([
+        gains_to_db(batch.gains).reshape(len(batch), -1)[keep]
+        for batch, keep, _ in labelled[:n_train]
+    ]))
 
-    def subset(mask: np.ndarray) -> PowerDataset:
+    def subset(part: list, first_id: int) -> PowerDataset:
+        blocks: dict[str, list[np.ndarray]] = {"g": [], "w": [], "u": []}
+        for batch, keep, _ in part:
+            for name, x in encode_batch(batch, stats).items():
+                blocks[name].append(x[keep])
         return PowerDataset(
-            g=stats.standardize_db(raw_g[mask]),
-            w=np.asarray(rows_w)[mask],
-            u=np.asarray(rows_u)[mask],
-            target=np.asarray(rows_t)[mask],
-            topo_ids=ids[mask],
+            **{name: np.concatenate(xs) for name, xs in blocks.items()},
+            target=np.asarray([t for _, _, targets in part for t in targets]),
+            topo_ids=np.repeat(np.arange(first_id, first_id + len(part)),
+                               [len(keep) for _, keep, _ in part]),
             stats=stats,
             drop_reasons=dict(drop_reasons),
         )
 
-    return subset(is_train), subset(~is_train)
+    return subset(labelled[:n_train], 0), subset(labelled[n_train:], n_train)
 
 
 @dataclass
@@ -285,13 +275,8 @@ def predict_fractions(
         )
     s = len(batch)
     padded = -(-s // FORWARD_CHUNK) * FORWARD_CHUNK
-    blocks = {
-        "g": net.stats.standardize_db(gains_to_db(batch.gains)).reshape(s, -1),
-        "w": batch.weights,
-        "u": batch.directions,
-    }
     inputs = {}
-    for name, x in blocks.items():
+    for name, x in encode_batch(batch, net.stats).items():
         inputs[name] = np.zeros((padded, x.shape[1]))
         inputs[name][:s] = x
     out = np.empty((padded, net.n_links))

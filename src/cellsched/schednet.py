@@ -19,7 +19,7 @@ from . import nncore
 from .linkmodel import Schedule, evaluate_stacked, problem_batch, schedule_count
 from .nncore import Activation, BlockSpec, LayerSpec, MlpModel, MlpSpec, TrainConfig
 from .powernet import GainStats, PowerNet, gains_to_db, predict_fractions
-from .topo import Topology
+from .topo import Topology, train_split_size
 
 # Reference input width for the pairwise-gains block; (N + N*M)^2 real values
 # are zero-padded up to it (24 nodes -> 576 of 600 at reference scale).
@@ -32,12 +32,6 @@ MAX_OUTPUT_WIDTH = 2**20
 def h_block_width(n_cells: int, users_per_cell: int) -> int:
     n_nodes = n_cells * (1 + users_per_cell)
     return max(H_BLOCK_MIN_WIDTH, n_nodes * n_nodes)
-
-
-@dataclass(frozen=True)
-class SchedNetEncoding:
-    h_block: np.ndarray  # standardized dB pairwise gains, zero diagonal, zero-padded
-    w_block: np.ndarray  # all 2*N*M link weights
 
 
 def default_sched_spec(n_cells: int, users_per_cell: int) -> MlpSpec:
@@ -65,8 +59,9 @@ def default_sched_spec(n_cells: int, users_per_cell: int) -> MlpSpec:
     )
 
 
-def encode_topology(topology: Topology, stats: GainStats) -> SchedNetEncoding:
-    """Flatten the gain table (dB-standardized, zero diagonal) plus weights."""
+def encode_topology(topology: Topology, stats: GainStats) -> dict[str, np.ndarray]:
+    """The net's input blocks: ``h`` the gain table (dB-standardized, zero
+    diagonal, zero-padded to ``h_block_width``) and ``w`` all 2*N*M weights."""
     k = topology.config.n_nodes
     g_db = gains_to_db(topology.gains)
     std = stats.standardize_db(g_db)
@@ -74,7 +69,7 @@ def encode_topology(topology: Topology, stats: GainStats) -> SchedNetEncoding:
     width = h_block_width(topology.config.n_cells, topology.config.users_per_cell)
     h = np.zeros(width)
     h[: k * k] = std.ravel()
-    return SchedNetEncoding(h_block=h, w_block=topology.weights.astype(float))
+    return {"h": h, "w": topology.weights.astype(float)}
 
 
 @dataclass
@@ -127,13 +122,7 @@ def make_sched_dataset(
     progress: Callable[[int, int], None] | None = None,
 ) -> tuple[SchedDataset, SchedDataset]:
     """One sample per topology; targets standardized over the training corpus."""
-    if len(topologies) < 2:
-        raise ValueError("need at least 2 topologies to split train/validation")
-    cfg0 = topologies[0].config
-    n_val = max(1, int(np.ceil(val_fraction * len(topologies))))
-    n_train = len(topologies) - n_val
-    if n_train < 1:
-        raise ValueError("val_fraction leaves no training topologies")
+    n_train = train_split_size(topologies, val_fraction)
 
     # Gain statistics come from the training topologies' off-diagonal gains.
     train_db = []
@@ -145,14 +134,9 @@ def make_sched_dataset(
 
     rows_h, rows_w, rows_t = [], [], []
     for ti, topo in enumerate(topologies):
-        if (
-            topo.config.n_cells != cfg0.n_cells
-            or topo.config.users_per_cell != cfg0.users_per_cell
-        ):
-            raise ValueError("all topologies must share n_cells and users_per_cell")
         enc = encode_topology(topo, stats)
-        rows_h.append(enc.h_block)
-        rows_w.append(enc.w_block)
+        rows_h.append(enc["h"])
+        rows_w.append(enc["w"])
         rows_t.append(schedule_wsr_targets(topo, power_net))
         if progress is not None:
             progress(ti + 1, len(topologies))
@@ -275,8 +259,7 @@ def _check_topology(net: SchedNet, topology: Topology) -> None:
 def predict_values(net: SchedNet, topology: Topology) -> np.ndarray:
     """Estimated WSR (bit/s) for every schedule, indexed by flat index."""
     _check_topology(net, topology)
-    enc = encode_topology(topology, net.stats)
-    raw = nncore.forward(net.model, {"h": enc.h_block, "w": enc.w_block})
+    raw = nncore.forward(net.model, encode_topology(topology, net.stats))
     return raw * net.target_std + net.target_mean
 
 

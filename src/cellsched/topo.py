@@ -12,6 +12,7 @@ import json
 import math
 from dataclasses import dataclass, asdict
 from enum import Enum
+from typing import Sequence
 
 import numpy as np
 
@@ -331,6 +332,25 @@ def generate_topology(
     return Topology(
         config=config, nodes=tuple(nodes), gains=gains, weights=weights, seed=seed
     )
+
+
+def train_split_size(topologies: Sequence[Topology], val_fraction: float) -> int:
+    """Topologies in the training split of a dataset built from ``topologies``.
+
+    The last ceil(val_fraction * n) topologies (at least one) validate and
+    the rest train. Raises ``ValueError`` unless there are at least 2
+    topologies, at least one trains, and all share n_cells and users_per_cell.
+    """
+    if len(topologies) < 2:
+        raise ValueError("need at least 2 topologies to split train/validation")
+    n_val = max(1, int(np.ceil(val_fraction * len(topologies))))
+    n_train = len(topologies) - n_val
+    if n_train < 1:
+        raise ValueError("val_fraction leaves no training topologies")
+    shapes = {(t.config.n_cells, t.config.users_per_cell) for t in topologies}
+    if len(shapes) > 1:
+        raise ValueError("all topologies must share n_cells and users_per_cell")
+    return n_train
 
 
 def topology_to_dict(topology: Topology) -> dict:

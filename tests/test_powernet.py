@@ -9,7 +9,8 @@ from cellsched.powernet import (
     FORWARD_CHUNK,
     GainStats,
     PowerNet,
-    encode,
+    encode_batch,
+    gains_to_db,
     init_power_net,
     make_power_dataset,
     predict_fractions,
@@ -68,11 +69,11 @@ def test_encode_passthrough_and_standardization():
     prob = hand_problem([[1e-8, 1e-10], [1e-9, 1e-7]], [0.3, 0.9], [1e-13, 1e-13],
                         [0.25, 0.2], directions=[1, 0])
     stats = GainStats(mean_db=-85.0, std_db=10.0)
-    enc = encode(prob, stats)
-    assert np.array_equal(enc.w_block, [0.3, 0.9])
-    assert np.array_equal(enc.u_block, [1.0, 0.0])
+    enc = {k: v[0] for k, v in encode_batch(ProblemBatch.stack([prob]), stats).items()}
+    assert np.array_equal(enc["w"], [0.3, 0.9])
+    assert np.array_equal(enc["u"], [1.0, 0.0])
     expected = (10.0 * np.log10(prob.gains).ravel() + 85.0) / 10.0
-    assert np.allclose(enc.g_block, expected, rtol=1e-12)
+    assert np.allclose(enc["g"], expected, rtol=1e-12)
 
 
 def test_encode_degenerate_uniform_gains_zero():
@@ -80,8 +81,8 @@ def test_encode_degenerate_uniform_gains_zero():
     prob = hand_problem(g, [0.5, 0.5], [1e-13, 1e-13], [0.25, 0.25])
     stats = GainStats.fit(10.0 * np.log10(g.ravel()))
     assert stats.std_db == 1.0  # zero-variance guard
-    enc = encode(prob, stats)
-    assert np.array_equal(enc.g_block, np.zeros(4))
+    enc = encode_batch(ProblemBatch.stack([prob]), stats)
+    assert np.array_equal(enc["g"][0], np.zeros(4))
 
 
 def test_make_dataset_counts_and_split(tiny_dataset):
@@ -101,13 +102,67 @@ def test_make_dataset_bad_gp_config_raises_at_once():
         make_power_dataset(desk_topos(2, count=3), {"outer_tol": 1e-4})
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # statistics of 0 rows
 def test_make_dataset_counts_solver_rejections_by_reason():
     gp = cs.GpConfig(init=cs.PowerInit.GIVEN)  # no p0: the solver rejects every problem
-    train_set, val_set = make_power_dataset(desk_topos(2, count=3), gp, val_fraction=0.34)
-    assert train_set.n_samples == val_set.n_samples == 0
-    assert train_set.n_dropped == 48
-    assert train_set.drop_reasons == {"solver rejected the problem: init=GIVEN requires p0": 48}
+    with pytest.raises(ValueError) as err:
+        make_power_dataset(desk_topos(2, count=3), gp, val_fraction=0.34)
+    assert str(err.value) == (
+        "no training rows left; rows dropped by reason: "
+        "{'solver rejected the problem: init=GIVEN requires p0': 48}"
+    )
+
+
+def test_make_dataset_rejects_mixed_shapes_before_any_solve(monkeypatch):
+    calls = []
+    monkeypatch.setattr(powernet, "wsr_maximize", lambda *a: calls.append(a))
+    topos = desk_topos(2, count=2) + desk_topos(2, m=1, count=1)
+    with pytest.raises(ValueError, match="must share n_cells and users_per_cell"):
+        make_power_dataset(topos, cs.GpConfig(), val_fraction=0.34)
+    assert calls == []
+
+
+def _reference_power_dataset(topologies, gp_config, n_train):
+    """The per-schedule labelling loop: one ``LinkProblem`` per schedule,
+    dB gains per row, statistics over the stacked training rows."""
+    raw_g, rows_w, rows_u, rows_t, ids = [], [], [], [], []
+    for ti, topo in enumerate(topologies):
+        cfg = topo.config
+        for sched in cs.enumerate_schedules(cfg.n_cells, cfg.users_per_cell):
+            problem = cs.build_link_problem(topo, sched)
+            res = cs.wsr_maximize(problem, gp_config)
+            raw_g.append(gains_to_db(problem.gains).ravel())
+            rows_w.append(problem.weights)
+            rows_u.append(problem.directions.astype(float))
+            rows_t.append(np.clip(res.alloc.powers_w / problem.p_max_w, 0.0, 1.0))
+            ids.append(ti)
+    raw_g, ids = np.asarray(raw_g), np.asarray(ids)
+    is_train = ids < n_train
+    stats = GainStats.fit(raw_g[is_train])
+    return stats, [
+        {"g": stats.standardize_db(raw_g[mask]), "w": np.asarray(rows_w)[mask],
+         "u": np.asarray(rows_u)[mask], "target": np.asarray(rows_t)[mask],
+         "topo_ids": ids[mask]}
+        for mask in (is_train, ~is_train)
+    ]
+
+
+@pytest.mark.parametrize("n, m, area, count, n_train", [(2, 2, 60.0, 3, 2), (4, 1, 120.0, 2, 1)])
+def test_make_dataset_bitwise_equals_reference_loop(n, m, area, count, n_train):
+    topos = desk_topos(n, m=m, count=count, base_seed=300, area=area)
+    gp = cs.GpConfig()
+    datasets = make_power_dataset(topos, gp, val_fraction=(count - n_train) / count)
+    stats, reference = _reference_power_dataset(topos, gp, n_train)
+    for ds, ref in zip(datasets, reference):
+        assert ds.stats == stats and ds.n_dropped == 0
+        for name, want in ref.items():
+            got = getattr(ds, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+        # a training row is the encoding of the same problem in a prediction batch
+        for ti in set(ds.topo_ids):
+            enc = encode_batch(cs.problem_batch(topos[ti]), stats)
+            rows = ds.topo_ids == ti
+            for name in ("g", "w", "u"):
+                assert np.array_equal(getattr(ds, name)[rows], enc[name]), name
 
 
 def test_dataset_save_load(tiny_dataset, tmp_path):

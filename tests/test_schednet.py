@@ -71,17 +71,18 @@ def test_encode_topology_layout():
     topo = desk_topos(1, base_seed=7)[0]
     stats = powernet.GainStats(-90.0, 12.0)
     enc = encode_topology(topo, stats)
+    assert set(enc) == {"h", "w"}
     k = topo.config.n_nodes
-    assert enc.h_block.shape == (600,)
-    assert np.array_equal(enc.h_block[k * k :], np.zeros(600 - k * k))
-    std = enc.h_block[: k * k].reshape(k, k)
+    assert enc["h"].shape == (600,)
+    assert np.array_equal(enc["h"][k * k :], np.zeros(600 - k * k))
+    std = enc["h"][: k * k].reshape(k, k)
     assert np.array_equal(np.diag(std), np.zeros(k))
     off = ~np.eye(k, dtype=bool)
     expected = (10.0 * np.log10(topo.gains[off]) + 90.0) / 12.0
     assert np.allclose(std[off], expected, rtol=1e-12)
-    assert np.array_equal(enc.w_block, topo.weights)
+    assert np.array_equal(enc["w"], topo.weights)
     enc2 = encode_topology(topo, stats)
-    assert np.array_equal(enc.h_block, enc2.h_block)
+    assert np.array_equal(enc["h"], enc2["h"])
 
 
 def test_make_sched_dataset_shapes_and_targets(tiny_power_net):
@@ -122,8 +123,7 @@ def test_denormalization_preserves_ordering(tiny_sched):
     net, _, topos = tiny_sched
     from cellsched import nncore
 
-    enc = encode_topology(topos[1], net.stats)
-    raw = nncore.forward(net.model, {"h": enc.h_block, "w": enc.w_block})
+    raw = nncore.forward(net.model, encode_topology(topos[1], net.stats))
     denorm = predict_values(net, topos[1])
     assert np.array_equal(np.argsort(raw, kind="stable"),
                           np.argsort(denorm, kind="stable"))
